@@ -3,9 +3,8 @@
 Times two configurations of the same bounded ``fit_mle`` on one
 dataset (the PR-8 acceptance experiment):
 
-* ``pertile`` — the PR-3 hot path: geometry cache + warm rank hints +
-  ``fast_lr`` + a 4-thread DAG executor, one Python-level kernel call
-  per tile;
+* ``pertile`` — the hot path: geometry cache + warm rank hints + a
+  4-thread DAG executor, one Python-level kernel call per tile;
 * ``batched`` — the same knobs routed through the batched execution
   layer: one vectorized covariance evaluation per ``theta``
   (``from_geometry_batch``) and homogeneous ready-set groups executed
@@ -55,7 +54,7 @@ def _timed_fit(kern, x, z, **engine_kwargs):
     result = fit_mle(
         kern, x, z, tile_size=TILE, variant=VARIANT,
         theta0=THETA, max_nfev=MAX_NFEV, max_iter=MAX_NFEV,
-        cache=True, fast_lr=True, workers=WORKERS,
+        cache=True, workers=WORKERS,
         **engine_kwargs,
     )
     return time.perf_counter() - t0, result
@@ -113,10 +112,10 @@ def test_batched_kernels_speedup(artifact_dir, benchmark):
     cache = GeometryCache()
     loglikelihood(
         kern, THETA, x, z, tile_size=TILE, variant=VARIANT,
-        cache=cache, fast_lr=True, workers=WORKERS, batch=True,
+        cache=cache, workers=WORKERS, batch=True,
     )
     benchmark(
         loglikelihood,
         kern, THETA, x, z, tile_size=TILE, variant=VARIANT,
-        cache=cache, fast_lr=True, workers=WORKERS, batch=True,
+        cache=cache, workers=WORKERS, batch=True,
     )

@@ -3,12 +3,15 @@
 Times three configurations of the same bounded ``fit_mle`` on one
 dataset (the PR-3 acceptance experiment):
 
-* ``cold``            — the seed path: no geometry cache, sequential,
-                        default low-rank arithmetic;
-* ``cached``          — geometry cache + warm rank hints only
-                        (bit-identical results);
-* ``cached_parallel`` — cache + ``fast_lr`` + a 4-thread pool
-                        (results identical to rounding).
+* ``cold``            — no geometry cache, sequential;
+* ``cached``          — the geometry cache added (bit-identical
+                        results);
+* ``cached_parallel`` — cache + a 4-thread DAG executor (bit-identical
+                        results).
+
+All three run the one low-rank arithmetic (exact-stacking updates)
+and feed warm rank hints between evaluations, so the comparison
+isolates the geometry cache and the thread pool.
 
 Writes the machine-readable ``benchmarks/out/BENCH_mle_hotpath.json``.
 ``BENCH_MLE_HOTPATH_N`` scales the dataset (default 1800, tile 60 —
@@ -61,7 +64,7 @@ def test_mle_hotpath_speedup(artifact_dir, benchmark):
     t_cold, r_cold = _timed_fit(kern, x, z, cache=False)
     t_cache, r_cache = _timed_fit(kern, x, z, cache=True)
     t_par, r_par = _timed_fit(
-        kern, x, z, cache=True, fast_lr=True, workers=WORKERS
+        kern, x, z, cache=True, workers=WORKERS
     )
 
     record = {
@@ -94,7 +97,7 @@ def test_mle_hotpath_speedup(artifact_dir, benchmark):
     # The cache must be invisible in the optimizer trace.
     assert r_cache.loglik == r_cold.loglik
     np.testing.assert_array_equal(r_cache.theta, r_cold.theta)
-    # The fast path must agree to rounding.
+    # The threaded path must agree.
     np.testing.assert_allclose(r_par.loglik, r_cold.loglik, rtol=1e-6)
     np.testing.assert_allclose(r_par.theta, r_cold.theta, rtol=1e-4)
     # Acceptance: >= 2x at the full benchmark size (small CI replays
@@ -106,8 +109,7 @@ def test_mle_hotpath_speedup(artifact_dir, benchmark):
 
     # Steady-state per-evaluation timing of the warm engine.
     eng = EvaluationEngine(
-        kern, x, z, tile_size=TILE, variant=VARIANT,
-        fast_lr=True, workers=WORKERS,
+        kern, x, z, tile_size=TILE, variant=VARIANT, workers=WORKERS,
     )
     eng.evaluate(THETA)
     benchmark(eng.evaluate, THETA)

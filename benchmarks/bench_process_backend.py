@@ -112,7 +112,7 @@ def test_process_backend_speedup_and_scaling(artifact_dir, benchmark):
     for workers in (1, 2, 4, 8):
         with ProcessPoolEngine(workers=workers) as engine:
             t0 = time.perf_counter()
-            _, run = engine.execute(mat.copy(), tile_tol=rep.tile_tol)
+            _, run = engine.execute(mat.copy())
             elapsed = time.perf_counter() - t0
             _, dense_run = engine.execute(dense_mat.copy())
             modeled_tlr = model_comm_volume(tlr_plan, engine.grid, tasks)
@@ -166,7 +166,7 @@ def test_process_backend_speedup_and_scaling(artifact_dir, benchmark):
 
     # Steady-state single-factorization timing on a persistent pool.
     with ProcessPoolEngine(workers=min(WORKERS, CORES)) as engine:
-        engine.execute(mat.copy(), tile_tol=rep.tile_tol)  # warm-up
+        engine.execute(mat.copy())  # warm-up
         benchmark(
-            lambda: engine.execute(mat.copy(), tile_tol=rep.tile_tol)
+            lambda: engine.execute(mat.copy())
         )

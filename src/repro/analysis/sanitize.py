@@ -806,13 +806,12 @@ def run_sanitized_workload(
         from ..tile.assembly import build_planned_covariance
         from ..tile.batch import ScratchPool
 
-        planned, assembly = build_planned_covariance(
+        planned, _ = build_planned_covariance(
             kernel, theta, x, tile, nugget=1.0e-8,
             use_mp=True, use_tlr=True, batch=True,
         )
         execute_cholesky_batched(
-            planned, workers=workers, tile_tol=assembly.tile_tol,
-            pool=ScratchPool(), clamp=False,
+            planned, workers=workers, pool=ScratchPool(), clamp=False,
         )
         report = state.report()
         stats = state.stats

@@ -11,16 +11,18 @@ evaluations:
 * *warm rank hints* — each tile's compression rank from the previous
   evaluation, fed back into the next one (ranks vary slowly along an
   optimizer trace), enabling the values-only early-out for over-cap
-  tiles and the warm-started randomized sketch when ``fast_lr`` is on;
-* the execution knobs (``workers`` thread pool, ``fast_lr`` low-rank
-  arithmetic) resolved once from the variant.
+  tiles and the warm-started randomized sketch for the others;
+* the execution knobs (``workers`` thread pool, ``batch``, ``backend``)
+  resolved once from the variant.
 
 The engine is deliberately thin: each :meth:`evaluate` is exactly one
 :func:`~repro.core.likelihood.loglikelihood` call with the reusable
-state threaded through, so results match the one-shot API by
-construction (bit-identical with ``fast_lr`` off for every kernel
-whose geometry path is exact — all built-ins except the anisotropic
-Matérn, which matches to rounding).
+state threaded through.  Its first evaluation carries no rank hints,
+so it is bit-identical to the one-shot API for every kernel whose
+geometry path is exact (all built-ins except the anisotropic Matérn,
+which matches to rounding); later ones differ from a cold call only
+where the certified sketch replaces an exact SVD, within the same
+tolerance.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ class EvaluationEngine:
     Parameters mirror :func:`~repro.core.mle.fit_mle`; ``cache`` may be
     ``False`` (disable geometry reuse), ``None``/``True`` (own a fresh
     :class:`~repro.tile.geometry.GeometryCache`), or an existing cache
-    to share across engines.  ``workers``/``fast_lr`` default to the
-    variant's settings; ``batch`` (default: the variant's flag) routes
+    to share across engines.  ``workers`` defaults to the variant's
+    setting; ``batch`` (default: the variant's flag) routes
     assembly + factorization through the batched execution layer.
 
     ``backend`` (default: the variant's setting) picks the
@@ -83,7 +85,6 @@ class EvaluationEngine:
         nugget: float = 0.0,
         cache: "GeometryCache | bool | None" = None,
         workers: int | None = None,
-        fast_lr: bool | None = None,
         resilience: ResilienceConfig | None = None,
         batch: bool | None = None,
         backend: str | None = None,
@@ -98,7 +99,6 @@ class EvaluationEngine:
         self.workers = (
             self.cfg.workers if workers is None else max(1, int(workers))
         )
-        self.fast_lr = self.cfg.fast_lr if fast_lr is None else bool(fast_lr)
         self.batch = self.cfg.batch if batch is None else bool(batch)
         self.backend = self.cfg.backend if backend is None else str(backend)
         self.telemetry = telemetry
@@ -140,7 +140,7 @@ class EvaluationEngine:
                 tile_size=self.tile_size, variant=self.cfg, nugget=self.nugget,
                 cache=self.cache,
                 rank_hints=self.rank_hints if self.rank_hints else None,
-                workers=self.workers, fast_lr=self.fast_lr,
+                workers=self.workers,
                 resilience=self.resilience, deadline=deadline,
                 batch=self.batch,
                 backend=self.backend, procpool=self._procpool,

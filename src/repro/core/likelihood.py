@@ -29,7 +29,6 @@ from ..resilience import Deadline, ResilienceConfig
 from ..resilience.validate import require_finite
 from ..tile.assembly import AssemblyReport, build_planned_covariance
 from ..tile.cholesky import CholeskyStats, tile_cholesky
-from ..tile.compression import use_fast_lr
 from ..tile.geometry import GeometryCache, TileGeometry
 from ..tile.matrix import TileMatrix
 from ..tile.recovery import RecoveryReport, factor_with_recovery
@@ -80,8 +79,6 @@ def _check_observations(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _factor_planned(
     matrix: TileMatrix,
     *,
-    tile_tol: float,
-    max_rank: int | None,
     fp16_accumulate_fp32: bool,
     workers: int,
     resilience=None,
@@ -101,7 +98,7 @@ def _factor_planned(
         workers=workers, batch=bool(batch),
     ):
         return _factor_planned_impl(
-            matrix, tile_tol=tile_tol, max_rank=max_rank,
+            matrix,
             fp16_accumulate_fp32=fp16_accumulate_fp32, workers=workers,
             resilience=resilience, deadline=deadline, batch=batch,
             backend=backend, procpool=procpool, telemetry=telemetry,
@@ -111,8 +108,6 @@ def _factor_planned(
 def _factor_planned_impl(
     matrix: TileMatrix,
     *,
-    tile_tol: float,
-    max_rank: int | None,
     fp16_accumulate_fp32: bool,
     workers: int,
     resilience=None,
@@ -174,8 +169,6 @@ def _factor_planned_impl(
         try:
             factored, run = engine.execute(
                 matrix,
-                tile_tol=tile_tol,
-                max_rank=max_rank,
                 fp16_accumulate_fp32=fp16_accumulate_fp32,
                 deadline=deadline,
                 retry=None if resilience is None else resilience.retry,
@@ -211,8 +204,6 @@ def _factor_planned_impl(
         factored, run = execute_cholesky_batched(
             matrix,
             workers=workers,
-            tile_tol=tile_tol,
-            max_rank=max_rank,
             fp16_accumulate_fp32=fp16_accumulate_fp32,
             telemetry=telemetry,
         )
@@ -225,8 +216,6 @@ def _factor_planned_impl(
     ):
         return tile_cholesky(
             matrix,
-            tile_tol=tile_tol,
-            max_rank=max_rank,
             fp16_accumulate_fp32=fp16_accumulate_fp32,
         )
     from ..runtime.parallel import execute_cholesky_parallel
@@ -235,8 +224,6 @@ def _factor_planned_impl(
         factored, run = execute_cholesky_parallel(
             matrix,
             workers=workers,
-            tile_tol=tile_tol,
-            max_rank=max_rank,
             fp16_accumulate_fp32=fp16_accumulate_fp32,
             deadline=deadline,
             retry=None if resilience is None else resilience.retry,
@@ -266,7 +253,6 @@ def loglikelihood(
     cache: GeometryCache | None = None,
     rank_hints: "dict[tuple[int, int], int] | None" = None,
     workers: int | None = None,
-    fast_lr: bool | None = None,
     resilience: ResilienceConfig | None = None,
     deadline: Deadline | None = None,
     batch: bool | None = None,
@@ -286,9 +272,9 @@ def loglikelihood(
     :class:`~repro.exceptions.RecoveryExhaustedError`).
 
     The hot-path knobs (``geometry``/``cache``, ``rank_hints``,
-    ``workers``, ``fast_lr``) are documented on
+    ``workers``) are documented on
     :func:`~repro.tile.assembly.build_planned_covariance`; ``workers``
-    and ``fast_lr`` default to the variant's settings.  The
+    defaults to the variant's setting.  The
     :class:`~repro.core.engine.EvaluationEngine` wires them together
     for repeated evaluations.
 
@@ -319,9 +305,7 @@ def loglikelihood(
     if resilience is not None:
         resilience = resilience.bind()  # one chaos injector per call
     z = _check_observations(x, z)
-    max_rank = int(cfg.max_rank_fraction * tile_size) or None
     nworkers = cfg.workers if workers is None else max(1, int(workers))
-    fast = cfg.fast_lr if fast_lr is None else bool(fast_lr)
     use_batch = cfg.batch if batch is None else bool(batch)
     use_backend = cfg.backend if backend is None else str(backend)
     if use_batch:
@@ -332,7 +316,7 @@ def loglikelihood(
         nworkers = min(nworkers, max(1, os.cpu_count() or 1))
     hotpath = dict(
         geometry=geometry, cache=cache, rank_hints=rank_hints,
-        sketch=fast, workers=nworkers, batch=use_batch,
+        workers=nworkers, batch=use_batch,
         telemetry=telemetry,
     )
     recovery: RecoveryReport | None = None
@@ -349,39 +333,34 @@ def loglikelihood(
                     **overrides, **hotpath, **cfg.assembly_kwargs(),
                 )
 
-            def factor_fn(matrix, *, tile_tol):
+            def factor_fn(matrix):
                 return _factor_planned(
-                    matrix, tile_tol=tile_tol, max_rank=max_rank,
-                    fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
+                    matrix, fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
                     workers=nworkers,
                     resilience=resilience, deadline=deadline,
                     batch=use_batch, backend=use_backend,
                     procpool=procpool, telemetry=telemetry,
                 )
 
-            with use_fast_lr(fast):
-                factor, stats, report, rec = factor_with_recovery(
-                    rebuild,
-                    policy=cfg.recovery,
-                    max_rank=max_rank,
-                    fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
-                    factor_fn=factor_fn,
-                )
+            factor, stats, report, rec = factor_with_recovery(
+                rebuild,
+                policy=cfg.recovery,
+                fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
+                factor_fn=factor_fn,
+            )
             recovery = rec if rec.actions else None
         else:
             matrix, report = build_planned_covariance(
                 kernel, theta, x, tile_size, nugget=nugget,
                 **hotpath, **cfg.assembly_kwargs(),
             )
-            with use_fast_lr(fast):
-                factor, stats = _factor_planned(
-                    matrix, tile_tol=report.tile_tol, max_rank=max_rank,
-                    fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
-                    workers=nworkers,
-                    resilience=resilience, deadline=deadline,
-                    batch=use_batch, backend=use_backend,
-                    procpool=procpool, telemetry=telemetry,
-                )
+            factor, stats = _factor_planned(
+                matrix, fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
+                workers=nworkers,
+                resilience=resilience, deadline=deadline,
+                batch=use_batch, backend=use_backend,
+                procpool=procpool, telemetry=telemetry,
+            )
         with maybe_span(telemetry, "solve", n=z.shape[0]):
             logdet = tile_logdet(factor)
             y = forward_solve(factor, z)
@@ -416,7 +395,6 @@ def loglikelihood_replicated(
     cache: GeometryCache | None = None,
     rank_hints: "dict[tuple[int, int], int] | None" = None,
     workers: int | None = None,
-    fast_lr: bool | None = None,
     resilience: ResilienceConfig | None = None,
     deadline: Deadline | None = None,
     batch: bool | None = None,
@@ -448,9 +426,7 @@ def loglikelihood_replicated(
         raise ShapeError(
             f"{len(x)} locations but replicate length {z.shape[1]}"
         )
-    max_rank = int(cfg.max_rank_fraction * tile_size) or None
     nworkers = cfg.workers if workers is None else max(1, int(workers))
-    fast = cfg.fast_lr if fast_lr is None else bool(fast_lr)
     use_batch = cfg.batch if batch is None else bool(batch)
     use_backend = cfg.backend if backend is None else str(backend)
     if use_batch:
@@ -458,7 +434,7 @@ def loglikelihood_replicated(
         nworkers = min(nworkers, max(1, os.cpu_count() or 1))
     hotpath = dict(
         geometry=geometry, cache=cache, rank_hints=rank_hints,
-        sketch=fast, workers=nworkers, batch=use_batch,
+        workers=nworkers, batch=use_batch,
         telemetry=telemetry,
     )
     with maybe_span(
@@ -474,38 +450,33 @@ def loglikelihood_replicated(
                     **overrides, **hotpath, **cfg.assembly_kwargs(),
                 )
 
-            def factor_fn(matrix, *, tile_tol):
+            def factor_fn(matrix):
                 return _factor_planned(
-                    matrix, tile_tol=tile_tol, max_rank=max_rank,
-                    fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
+                    matrix, fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
                     workers=nworkers,
                     resilience=resilience, deadline=deadline,
                     batch=use_batch, backend=use_backend,
                     procpool=procpool, telemetry=telemetry,
                 )
 
-            with use_fast_lr(fast):
-                factor, _, report, _ = factor_with_recovery(
-                    rebuild,
-                    policy=cfg.recovery,
-                    max_rank=max_rank,
-                    fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
-                    factor_fn=factor_fn,
-                )
+            factor, _, report, _ = factor_with_recovery(
+                rebuild,
+                policy=cfg.recovery,
+                fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
+                factor_fn=factor_fn,
+            )
         else:
             matrix, report = build_planned_covariance(
                 kernel, theta, x, tile_size, nugget=nugget,
                 **hotpath, **cfg.assembly_kwargs(),
             )
-            with use_fast_lr(fast):
-                factor, _ = _factor_planned(
-                    matrix, tile_tol=report.tile_tol, max_rank=max_rank,
-                    fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
-                    workers=nworkers,
-                    resilience=resilience, deadline=deadline,
-                    batch=use_batch, backend=use_backend,
-                    procpool=procpool, telemetry=telemetry,
-                )
+            factor, _ = _factor_planned(
+                matrix, fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
+                workers=nworkers,
+                resilience=resilience, deadline=deadline,
+                batch=use_batch, backend=use_backend,
+                procpool=procpool, telemetry=telemetry,
+            )
         with maybe_span(telemetry, "solve", n=z.shape[1],
                         reps=z.shape[0]):
             logdet = tile_logdet(factor)

@@ -103,7 +103,6 @@ def fit_mle(
     checkpoint_every: int = 10,
     workers: int | None = None,
     cache: "GeometryCache | bool | None" = None,
-    fast_lr: bool | None = None,
     resilience: ResilienceConfig | None = None,
     batch: bool | None = None,
     backend: str | None = None,
@@ -126,13 +125,11 @@ def fit_mle(
 
     Evaluations run on an :class:`~repro.core.engine.EvaluationEngine`:
     theta-independent tile geometry is computed once and reused across
-    the whole fit (``cache=False`` disables the reuse), ``workers``
-    sets the generation/factorization thread pool, and ``fast_lr``
-    opts into the fast low-rank arithmetic (see
-    :class:`~repro.core.variants.VariantConfig`); each defaults to the
-    variant's setting.  ``batch`` routes assembly + factorization
-    through the batched execution layer (stacked BLAS over homogeneous
-    tile groups) — note a ``time_budget_s`` deadline forces the
+    the whole fit (``cache=False`` disables the reuse), and ``workers``
+    sets the generation/factorization thread pool (default: the
+    variant's setting, see :class:`~repro.core.variants.VariantConfig`).
+    ``batch`` routes assembly + factorization through the batched
+    execution layer (stacked BLAS over homogeneous tile groups) — note a ``time_budget_s`` deadline forces the
     factorization back onto the per-tile executor, which supports
     cooperative cancellation.  ``backend`` picks the factorization
     engine (``"auto"`` / ``"sequential"`` / ``"thread"`` /
@@ -182,7 +179,7 @@ def fit_mle(
         nfev_start = nfev_total
         engine = EvaluationEngine(
             kernel, x, z, tile_size=tile_size, variant=step_cfg,
-            nugget=nugget, cache=cache, workers=workers, fast_lr=fast_lr,
+            nugget=nugget, cache=cache, workers=workers,
             resilience=resilience, batch=batch, backend=backend,
             telemetry=telemetry,
         )

@@ -23,6 +23,7 @@ from ..exceptions import ReproError, ShapeError
 from ..kernels import (
     AnisotropicMaternKernel,
     BivariateMaternKernel,
+    ExponentialKernel,
     GneitingMaternKernel,
     MaternKernel,
 )
@@ -31,6 +32,7 @@ from ..kernels.distance import as_locations
 from ..ordering import order_points
 from ..resilience import ResilienceConfig
 from ..resilience.validate import require_finite
+from ..tile.cholesky import compress_factor
 from ..tile.geometry import GeometryCache, locations_fingerprint
 from ..tile.matrix import TileMatrix
 from .likelihood import LikelihoodResult, loglikelihood
@@ -43,6 +45,7 @@ __all__ = ["ExaGeoStatModel"]
 
 _KERNEL_ALIASES = {
     "matern": MaternKernel,
+    "exponential": ExponentialKernel,
     "gneiting": GneitingMaternKernel,
     "matern-space-time": GneitingMaternKernel,
     "anisotropic": AnisotropicMaternKernel,
@@ -69,7 +72,7 @@ class ExaGeoStatModel:
     ----------
     kernel:
         A :class:`~repro.kernels.base.CovarianceKernel` or an alias
-        (``"matern"``, ``"gneiting"``).
+        (``"matern"``, ``"exponential"``, ``"gneiting"``, ...).
     variant:
         Compute variant name or :class:`VariantConfig`
         (``"dense-fp64"``, ``"mp-dense"``, ``"mp-dense-tlr"``).
@@ -247,7 +250,14 @@ class ExaGeoStatModel:
         self._require_fit()
         key = self._state_key()
         if self._engine is None or self._engine_key != key:
-            factor = self._likelihood_at_fit().factor
+            result = self._likelihood_at_fit()
+            # The factor will serve every prediction: truncate its
+            # planned-low-rank tiles once (the likelihood path never
+            # pays this).
+            factor = compress_factor(
+                result.factor, result.report,
+                int(self.variant.max_rank_fraction * self.tile_size) or None,
+            )
             self._engine = PredictionEngine(
                 self.kernel, self.theta_, self._x, self._z, factor,
                 cache=self._cache, resilience=self.resilience,

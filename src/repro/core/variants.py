@@ -47,14 +47,15 @@ class VariantConfig:
 
     ``workers`` sets the thread-pool width for tile generation,
     compression, and the DAG Cholesky executor (1 = the sequential
-    reference path, bit-identical for dense FP64).  ``fast_lr`` opts
-    into the raw-LAPACK low-rank arithmetic and warm-started sketch
-    compression — same error tolerance, different rounding, so it is
-    off by default.  ``batch`` routes assembly and factorization
-    through the batched execution layer (stacked BLAS over homogeneous
-    tile groups, :mod:`repro.tile.batch`); dense results stay
-    bit-identical, but it is off by default because deadlines and
-    task-level resilience force a fallback to the per-tile executors.
+    reference path, bit-identical for dense FP64).  There is one
+    low-rank arithmetic, not a knob: TLR updates stack factors exactly
+    and densify at full width (:func:`~repro.tile.kernels.gemm`), so
+    the only TLR error is the ``tlr_tol`` truncation at assembly.
+    ``batch`` routes assembly and factorization through the batched
+    execution layer (stacked BLAS over homogeneous tile groups,
+    :mod:`repro.tile.batch`); results stay bit-identical, but it is
+    off by default because deadlines and task-level resilience force
+    a fallback to the per-tile executors.
     ``backend`` picks the factorization engine — ``"auto"`` (the
     historical routing), ``"sequential"``, ``"thread"``, or
     ``"process"`` (the shared-memory multiprocess executor,
@@ -78,7 +79,6 @@ class VariantConfig:
     machine: MachineSpec = field(default=A64FX)
     recovery: RecoveryPolicy | None = None
     workers: int = 1
-    fast_lr: bool = False
     batch: bool = False
     backend: str = "auto"
 

@@ -72,7 +72,12 @@ def tlr_gemm_flops(
     b: int, ra: int, rb: int, rc: int, rank_out: int | None = None
 ) -> float:
     """TLR GEMM ``C (LR, rank rc) -= A (LR, ra) @ B (LR, rb).T``
-    including the recompression of the stacked sum."""
+    including the recompression of the stacked sum.
+
+    This is the paper's (HiCMA) update cost, kept so the structure
+    decision and band tuning follow the paper.  The runtime's update
+    (:func:`repro.tile.kernels.gemm`) stacks factors exactly and does
+    no recompression, so these are modeled, not executed, flops."""
     rn = min(ra, rb)
     stacked = rc + rn
     rank_out = rc if rank_out is None else rank_out

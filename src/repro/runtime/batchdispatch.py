@@ -173,8 +173,6 @@ def execute_cholesky_batched(
     matrix: TileMatrix,
     *,
     workers: int = 1,
-    tile_tol: float = 0.0,
-    max_rank: int | None = None,
     fp16_accumulate_fp32: bool = True,
     tasks: list[Task] | None = None,
     dag: nx.DiGraph | None = None,
@@ -284,7 +282,6 @@ def execute_cholesky_batched(
             amk, ank = task.inputs
             out = K.gemm(
                 tiles[amk], tiles[ank], tiles[task.output],
-                tol=tile_tol, max_rank=max_rank,
                 fp16_accumulate_fp32=fp16_accumulate_fp32,
             )
         if task.op == "gemm":

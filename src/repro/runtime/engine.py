@@ -28,8 +28,6 @@ def execute_cholesky_tasks(
     matrix: TileMatrix,
     tasks: list[Task],
     *,
-    tile_tol: float = 0.0,
-    max_rank: int | None = None,
     fp16_accumulate_fp32: bool = True,
 ) -> tuple[TileMatrix, ExecutionTrace]:
     """Execute a Cholesky task stream in order on ``matrix``.
@@ -64,8 +62,6 @@ def execute_cholesky_tasks(
                 matrix.get(*amk),
                 matrix.get(*ank),
                 matrix.get(*task.output),
-                tol=tile_tol,
-                max_rank=max_rank,
                 fp16_accumulate_fp32=fp16_accumulate_fp32,
             )
         else:  # pragma: no cover - Task validates ops

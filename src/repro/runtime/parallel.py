@@ -121,8 +121,6 @@ def execute_cholesky_parallel(
     matrix: TileMatrix,
     *,
     workers: int = 4,
-    tile_tol: float = 0.0,
-    max_rank: int | None = None,
     fp16_accumulate_fp32: bool = True,
     tasks: list[Task] | None = None,
     dag: nx.DiGraph | None = None,
@@ -246,7 +244,6 @@ def execute_cholesky_parallel(
             out = K.gemm(
                 matrix.get(*amk), matrix.get(*ank),
                 matrix.get(*task.output),
-                tol=tile_tol, max_rank=max_rank,
                 fp16_accumulate_fp32=fp16_accumulate_fp32,
             )
         if chaos is not None:

@@ -57,7 +57,6 @@ from ..exceptions import (
 )
 from ..obs.tracer import current_span_id
 from ..tile.cholesky import CholeskyStats
-from ..tile.compression import fast_lr_enabled
 from ..tile.matrix import TileMatrix
 from ..tile.shm import SharedTileStore
 from .blasclamp import blas_clamp_for, clamp_blas_threads
@@ -259,8 +258,6 @@ class ProcessPoolEngine:
         self,
         matrix: TileMatrix,
         *,
-        tile_tol: float = 0.0,
-        max_rank: int | None = None,
         fp16_accumulate_fp32: bool = True,
         deadline=None,
         cancel=None,
@@ -322,10 +319,7 @@ class ProcessPoolEngine:
             handles = store.put_matrix(matrix)
             cfg = {
                 "nt": matrix.nt,
-                "tile_tol": tile_tol,
-                "max_rank": max_rank,
                 "fp16_accumulate_fp32": fp16_accumulate_fp32,
-                "fast_lr": fast_lr_enabled(),
                 "epoch": epoch,
                 "check_finite": check_finite,
                 "chaos": None if chaos is None else chaos.config,

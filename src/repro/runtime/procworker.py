@@ -49,7 +49,6 @@ from ..tile.batch import (
     batched_syrk,
     batched_trsm,
 )
-from ..tile.compression import use_fast_lr
 from ..tile.shm import SegmentCache, payload_nbytes
 from ..tile.tile import DenseTile, LowRankTile, Tile
 from .batchdispatch import _group_key
@@ -71,10 +70,7 @@ class _EvalState:
     rank: int
     task_by_uid: dict[int, Task]
     grid: object
-    tile_tol: float
-    max_rank: int | None
     fp16_accumulate_fp32: bool
-    fast_lr: bool
     epoch: int
     check_finite: bool
     batch: bool
@@ -105,10 +101,7 @@ def _arm(rank: int, cfg: dict) -> _EvalState:
         rank=rank,
         task_by_uid=_tasks_for(cfg["nt"]),
         grid=cfg["grid"],
-        tile_tol=cfg["tile_tol"],
-        max_rank=cfg["max_rank"],
         fp16_accumulate_fp32=cfg["fp16_accumulate_fp32"],
-        fast_lr=cfg["fast_lr"],
         epoch=cfg["epoch"],
         check_finite=cfg["check_finite"],
         batch=cfg["batch"],
@@ -148,7 +141,6 @@ def _kernel(task: Task, tiles: dict, st: _EvalState) -> Tile:
     amk, ank = task.inputs
     return K.gemm(
         tiles[amk], tiles[ank], tiles[task.output],
-        tol=st.tile_tol, max_rank=st.max_rank,
         fp16_accumulate_fp32=st.fp16_accumulate_fp32,
     )
 
@@ -313,57 +305,56 @@ def _run_items(rank, items, st: _EvalState, cache: SegmentCache,
     else:
         singles = tasks
 
-    with use_fast_lr(st.fast_lr):
-        for key, batch in groups.items():
-            if len(batch) < _MIN_BATCH:
-                singles.extend(batch)
-                continue
-            group_t0 = time.perf_counter() if st.trace else 0.0
-            try:
-                op = key[0]
-                if op == "potrf":
-                    outs = batched_potrf(
-                        [tiles[t.output] for t in batch],
-                        [t.output for t in batch], pool=pool, validate=False,
-                    )
-                elif op == "trsm":
-                    outs = batched_trsm(
-                        tiles[batch[0].inputs[0]],
-                        [tiles[t.output] for t in batch],
-                        fp16_accumulate_fp32=st.fp16_accumulate_fp32,
-                        pool=pool, validate=False,
-                    )
-                elif op == "syrk":
-                    outs = batched_syrk(
-                        [tiles[t.inputs[0]] for t in batch],
-                        [tiles[t.output] for t in batch],
-                        fp16_accumulate_fp32=st.fp16_accumulate_fp32,
-                        pool=pool, validate=False,
-                    )
-                else:
-                    outs = batched_gemm(
-                        [tiles[t.inputs[0]] for t in batch],
-                        [tiles[t.inputs[1]] for t in batch],
-                        [tiles[t.output] for t in batch],
-                        fp16_accumulate_fp32=st.fp16_accumulate_fp32,
-                        pool=pool, validate=False,
-                    )
-            except BaseException:
-                # A stacked call cannot attribute its failure to one
-                # task; nothing was written, so replay the group
-                # per-tile (bit-identical) to pin the failing uid.
-                singles.extend(batch)
-                continue
-            group_span = (
-                (group_t0, time.perf_counter(), 1, True)
-                if st.trace else None
-            )
-            for task, out in zip(batch, outs):
-                was_lr = tiles[task.output].is_low_rank
-                tiles[task.output] = out
-                finish(task, out, was_lr, 0, (0, 0, 0), span=group_span)
-        for task in singles:
-            run_single(task)
+    for key, batch in groups.items():
+        if len(batch) < _MIN_BATCH:
+            singles.extend(batch)
+            continue
+        group_t0 = time.perf_counter() if st.trace else 0.0
+        try:
+            op = key[0]
+            if op == "potrf":
+                outs = batched_potrf(
+                    [tiles[t.output] for t in batch],
+                    [t.output for t in batch], pool=pool, validate=False,
+                )
+            elif op == "trsm":
+                outs = batched_trsm(
+                    tiles[batch[0].inputs[0]],
+                    [tiles[t.output] for t in batch],
+                    fp16_accumulate_fp32=st.fp16_accumulate_fp32,
+                    pool=pool, validate=False,
+                )
+            elif op == "syrk":
+                outs = batched_syrk(
+                    [tiles[t.inputs[0]] for t in batch],
+                    [tiles[t.output] for t in batch],
+                    fp16_accumulate_fp32=st.fp16_accumulate_fp32,
+                    pool=pool, validate=False,
+                )
+            else:
+                outs = batched_gemm(
+                    [tiles[t.inputs[0]] for t in batch],
+                    [tiles[t.inputs[1]] for t in batch],
+                    [tiles[t.output] for t in batch],
+                    fp16_accumulate_fp32=st.fp16_accumulate_fp32,
+                    pool=pool, validate=False,
+                )
+        except BaseException:
+            # A stacked call cannot attribute its failure to one
+            # task; nothing was written, so replay the group
+            # per-tile (bit-identical) to pin the failing uid.
+            singles.extend(batch)
+            continue
+        group_span = (
+            (group_t0, time.perf_counter(), 1, True)
+            if st.trace else None
+        )
+        for task, out in zip(batch, outs):
+            was_lr = tiles[task.output].is_low_rank
+            tiles[task.output] = out
+            finish(task, out, was_lr, 0, (0, 0, 0), span=group_span)
+    for task in singles:
+        run_single(task)
 
 
 def worker_main(rank: int, task_q, result_q, init: dict) -> None:

@@ -16,18 +16,14 @@ from .batch import (
     batched_syrk,
     batched_trsm,
 )
-from .cholesky import CholeskyStats, tile_cholesky
+from .cholesky import CholeskyStats, compress_factor, tile_cholesky
 from .compression import (
     compress_block,
     compress_or_rank,
     compress_tile,
-    fast_lr_enabled,
     frobenius_rank,
-    lr_add,
     rank_of_block,
-    recompress,
     truncated_svd,
-    use_fast_lr,
 )
 from .geometry import (
     GeometryCache,
@@ -87,11 +83,7 @@ __all__ = [
     "compress_block",
     "compress_or_rank",
     "compress_tile",
-    "recompress",
-    "lr_add",
     "rank_of_block",
-    "use_fast_lr",
-    "fast_lr_enabled",
     "GeometryCache",
     "TileGeometry",
     "build_tile_geometry",
@@ -107,6 +99,7 @@ __all__ = [
     "assemble_dense",
     "build_planned_covariance",
     "tile_cholesky",
+    "compress_factor",
     "CholeskyStats",
     "ScratchPool",
     "batched_potrf",

@@ -21,16 +21,24 @@ DAG and a consistency test pins the two together.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..config import DEFAULT_MAX_RANK_FRACTION
+import numpy as np
+from scipy.linalg import solve_triangular
+
+from .compression import compress_many
 from .matrix import TileMatrix
+from .tile import LowRankTile
 
 from . import kernels as K
 
-__all__ = ["CholeskyStats", "tile_cholesky"]
+if TYPE_CHECKING:
+    from .assembly import AssemblyReport
+
+__all__ = ["CholeskyStats", "tile_cholesky", "compress_factor"]
 
 
 @dataclass
@@ -63,17 +71,16 @@ class CholeskyStats:
 def tile_cholesky(
     a: TileMatrix,
     *,
-    tile_tol: float = 0.0,
-    max_rank: int | None = None,
     fp16_accumulate_fp32: bool = True,
     validate_plan: bool = False,
 ) -> tuple[TileMatrix, CholeskyStats]:
     """Factor ``A = L L^T`` in place (the lower tiles of ``a`` are
     replaced by those of ``L``) and return ``(a, stats)``.
 
-    ``tile_tol`` is the absolute tile-level recompression tolerance for
-    low-rank updates (from ``plan.meta['tile_tol']``); ``max_rank``
-    caps LR ranks, beyond which tiles densify on the fly.
+    Low-rank tiles take their updates exactly (stacked factors, see
+    :func:`~repro.tile.kernels.gemm`) and convert to dense once the
+    stacked width reaches the tile size, so no tolerance is needed
+    here: the only TLR truncation is the one made at assembly.
 
     With ``validate_plan=True`` the static verifier
     (:mod:`repro.analysis.plancheck`) first checks the plan implied by
@@ -95,8 +102,6 @@ def tile_cholesky(
                 report=report,
             )
     nt = a.nt
-    if max_rank is None:
-        max_rank = int(DEFAULT_MAX_RANK_FRACTION * a.layout.tile_size) or None
     stats = CholeskyStats()
     for k in range(nt):
         # Per-panel Counter tally instead of one dict update per task.
@@ -123,8 +128,6 @@ def tile_cholesky(
                     amk,
                     a.get(n, k),
                     a.get(m, n),
-                    tol=tile_tol,
-                    max_rank=max_rank,
                     fp16_accumulate_fp32=fp16_accumulate_fp32,
                 )
                 if was_lr and not cmn.is_low_rank:
@@ -135,3 +138,50 @@ def tile_cholesky(
                 panel["gemm"] += 1
         stats.count_batch(panel)
     return a, stats
+
+
+def compress_factor(
+    factor: TileMatrix, report: "AssemblyReport", max_rank: int | None = None
+) -> TileMatrix:
+    """Truncate the planned-low-rank tiles of a Cholesky factor, in place.
+
+    Exact-stacking updates leave those tiles dense or carrying wide,
+    untruncated factors — right for one factorization, but a factor
+    that serves many solves pays for that width on every one.  Each
+    tile ``L_ij`` the assembly ``report``'s plan marks low-rank is
+    truncated where the TLR Cholesky truncates: on ``A_ij = L_ij
+    L_jj^T`` (the fully updated Schur complement) at the plan's tile
+    tolerance, then ``L_ij = U (L_jj^{-1} V)^T`` by the rank-wise TRSM.
+    Tiles whose rank exceeds ``max_rank`` stay as they are.
+
+    One :func:`~repro.tile.compression.compress_many` call truncates
+    every tile, warm-started at the assembly ranks, and one wide-RHS
+    triangular solve per tile column applies ``L_jj^{-1}`` to all of
+    that column's ``V`` factors.
+    """
+    blocks = {
+        (i, j): factor.get(i, j).to_dense64() @ factor.get(j, j).to_dense64().T
+        for (i, j), planned in report.plan.use_lr.items()
+        if planned
+    }
+    compressed = compress_many(
+        blocks, list(blocks), report.tile_tol, max_rank=max_rank,
+        hints=report.ranks,
+    )
+    columns: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for key, (_, u, _) in compressed.items():
+        if u is not None:
+            columns[key[1]].append(key)
+    for j, keys in columns.items():
+        vcat = solve_triangular(
+            factor.get(j, j).to_dense64(),
+            np.hstack([compressed[key][2] for key in keys]),
+            lower=True, check_finite=False,
+        )
+        start = 0
+        for key in keys:
+            rank, u, _ = compressed[key]
+            v = vcat[:, start:start + rank]
+            start += rank
+            factor.set(*key, LowRankTile(u, v, factor.get(*key).precision))
+    return factor

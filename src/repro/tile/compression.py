@@ -1,24 +1,20 @@
-"""Low-rank compression and recompression primitives.
+"""Low-rank compression primitives.
 
 TLR compression truncates the SVD of a tile at an *absolute* Frobenius
 threshold (the caller derives it from the global matrix norm and the
-target accuracy, e.g. ``1e-8`` as in the paper).  Recompression after
-low-rank additions uses the standard QR-of-stacked-factors + small SVD
-scheme, which is what HiCMA does inside the TLR Cholesky update.
+target accuracy, e.g. ``1e-8`` as in the paper).  Low-rank *updates*
+inside the Cholesky need no recompression at all: the GEMM kernel
+stacks update factors exactly and converts a tile to dense once the
+stacked width reaches the tile size (:func:`repro.tile.kernels.gemm`).
 
-Two optional fast paths serve the MLE hot loop (both opt-in, both
-leaving the default results untouched):
-
-* :func:`compress_or_rank` — assembly-side compression that never
-  builds truncated factors for tiles whose rank exceeds the cap, takes
-  a *warm rank hint* from the previous optimizer iteration (values-only
-  SVD early-out for tiles known to be over-cap; randomized range-finder
-  sketch for tiles known to be comfortably low-rank, with an exact-SVD
-  fallback whenever the sketch cannot certify the tolerance);
-* :func:`use_fast_lr` — a scoped switch routing :func:`recompress` /
-  :func:`lr_add` through raw LAPACK (``geqrf``/``orgqr``/``gesdd``
-  without the ``numpy.linalg`` wrapper overhead), which dominates the
-  TLR Cholesky update cost at small tile sizes.
+:func:`compress_or_rank` / :func:`compress_many` serve the MLE hot
+loop: tiles whose rank exceeds the cap never build truncated factors,
+and a *warm rank hint* from the previous optimizer iteration enables
+a values-only SVD early-out for tiles known to be over-cap and a
+certified randomized range-finder for tiles known to be comfortably
+low-rank (exact-SVD fallback whenever the sketch cannot certify the
+tolerance).  Without hints both are bit-identical to
+:func:`truncated_svd`.
 
 All factor arithmetic here runs in float64; storage precision is
 applied by the caller when wrapping results into tiles.
@@ -26,7 +22,6 @@ applied by the caller when wrapping results into tiles.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -43,11 +38,7 @@ __all__ = [
     "compress_many",
     "compress_or_rank",
     "compress_tile",
-    "recompress",
-    "lr_add",
     "rank_of_block",
-    "use_fast_lr",
-    "fast_lr_enabled",
 ]
 
 
@@ -104,53 +95,30 @@ def rank_of_block(a: np.ndarray, tol: float) -> int:
 _SKETCH_OVERSAMPLE = 8
 
 
+def _tile_seed(key: tuple[int, int]) -> int:
+    """Sketch seed of tile ``key``.  It depends on the tile alone, so
+    sketched results are independent of call order and scheduling."""
+    return ((key[0] + 1) << 20) ^ (key[1] + 1)
+
+
 def _sketch_compress(
     a: np.ndarray, tol: float, cap: int, hint: int, rng: np.random.Generator
 ) -> tuple[int, np.ndarray, np.ndarray] | None:
     """Randomized range-finder warm-started at ``hint`` columns.
 
-    Certifies the truncation with the computable bound
-
-        err(r)^2 = (||A||_F^2 - ||Q^T A||_F^2) + ||tail_r(Q^T A)||_2^2
-
-    (projection loss plus the dropped small-SVD tail) — only ranks the
-    sketch can *prove* within ``tol`` are accepted.  Returns ``None``
-    when the sketch cannot certify a rank ``<= cap`` (caller falls back
-    to the exact SVD), so accuracy never depends on the sketch quality.
+    Each round is certified by :func:`_certify_sketch`; one growth
+    retry doubles the width.  Returns ``None`` when the sketch cannot
+    certify a rank ``<= cap`` (caller falls back to the exact SVD), so
+    accuracy never depends on the sketch quality.
     """
-    m, n = a.shape
-    mn = min(m, n)
+    n = a.shape[1]
+    mn = min(a.shape)
     k = min(max(hint, 1) + _SKETCH_OVERSAMPLE, mn)
-    norm2 = float(np.sum(a * a))
     for _ in range(2):  # one growth retry before the exact fallback
-        omega = rng.standard_normal((n, k))
-        q, _ = _thin_qr_fast(a @ omega)
-        b = q.T @ a  # (k, n)
-        proj2 = max(norm2 - float(np.sum(b * b)), 0.0)
-        # SVD of the small sketch via syev of its Gram matrix (same
-        # trade-off as :func:`_core_svd_fast`): eigenvalues *are* the
-        # squared singular values the error bound needs.
-        w, qb, info = _syev(b @ b.T)
-        if info != 0:
-            return None  # exact fallback
-        s2 = np.maximum(w[::-1], 0.0)
-        ub = qb[:, ::-1]
-        tail2 = np.append(np.cumsum(s2[::-1])[::-1], 0.0)
-        err = np.sqrt(proj2 + tail2)
-        admissible = np.nonzero(err <= tol)[0]
-        if admissible.size:
-            r = int(admissible[0])
-            if r > cap:
-                return None
-            if r < k or k == mn:
-                s = np.sqrt(s2[:r])
-                safe = np.maximum(s, np.finfo(np.float64).tiny)
-                u = q @ (ub[:, :r] * s)
-                # Right factor of b = Ub S Vb^T, kept columns only.
-                v = (b.T @ ub[:, :r]) / safe
-                return r, u, v
-        if k >= mn:
-            break
+        q, _ = _thin_qr_fast(a @ rng.standard_normal((n, k)))
+        status, res = _certify_sketch(q, a, tol, cap, k, mn)
+        if status != "retry":
+            return res
         k = min(2 * k, mn)
     return None
 
@@ -161,19 +129,19 @@ def compress_or_rank(
     *,
     max_rank: int | None = None,
     hint: int | None = None,
-    sketch: bool = False,
-    rng: np.random.Generator | None = None,
+    key: tuple[int, int] = (0, 0),
 ) -> tuple[int, np.ndarray | None, np.ndarray | None]:
     """Compress one assembly tile, or report its rank when over the cap.
 
     Returns ``(rank, u, v)``; ``u``/``v`` are ``None`` when
     ``rank > max_rank`` — over-cap tiles never build truncated factors.
-    Without ``hint``/``sketch`` the result is bit-identical to
+    Without ``hint`` the result is bit-identical to
     :func:`truncated_svd`.  A warm ``hint`` (the tile's rank at the
     previous optimizer iterate) enables a values-only SVD early-out for
-    tiles expected to stay over the cap, and — with ``sketch=True`` —
-    the certified randomized range-finder for tiles expected to stay
-    well under it.
+    tiles expected to stay over the cap, and the certified randomized
+    range-finder for tiles expected to stay under it.  The sketch is
+    seeded from the tile's ``key`` alone, so results do not depend on
+    call order.
     """
     a = np.asarray(a, dtype=np.float64)
     cap = min(a.shape) if max_rank is None else min(int(max_rank), min(a.shape))
@@ -184,7 +152,8 @@ def compress_or_rank(
         if rank > cap:
             return rank, None, None
         # Stale hint — fall through and build factors.
-    elif sketch and hint is not None and rng is not None:
+    elif hint is not None:
+        rng = np.random.default_rng(_tile_seed(key))
         out = _sketch_compress(a, tol, cap, hint, rng)
         if out is not None:
             return out
@@ -225,34 +194,35 @@ def _tile_omega2(seed: int, n: int, k: int, k2: int) -> np.ndarray:
 def _certify_sketch(
     qp: np.ndarray, blk: np.ndarray, tol: float, cap: int, k: int, mn: int
 ) -> tuple[str, tuple[int, np.ndarray, np.ndarray] | None]:
-    """Certify one range-finder round given its orthonormal basis.
+    """Certify one range-finder round given its orthonormal basis ``qp``.
+
+    The truncation error of rank ``r`` is
+
+        err(r)^2 = ||A - Q Q^T A||_F^2 + ||tail_r(Q^T A)||_2^2
+
+    (projection loss plus the dropped tail of the small SVD), and only
+    a rank whose ``err(r) <= tol`` is accepted.  Both terms are formed
+    directly — the residual explicitly, the tail from an SVD of
+    ``Q^T A`` — because tile tolerances sit near ``sqrt(eps) * ||A||``,
+    where ``||A||^2 - ||Q^T A||^2`` or a Gram-matrix eigensolve would
+    lose every significant digit of the quantity being certified.
 
     Returns ``("ok", (r, u, v))`` when the round certifies a rank,
     ``("retry", None)`` when the sketch must grow, or ``("exact",
-    None)`` for the exact-SVD fallback — exactly the decision rules of
-    one :func:`_sketch_compress` loop iteration.
+    None)`` for the exact-SVD fallback.
     """
     bp = qp.T @ blk
-    norm2 = float(np.sum(blk * blk))
-    proj2 = max(norm2 - float(np.sum(bp * bp)), 0.0)
-    w, qb, info = _syev(bp @ bp.T)
-    if info != 0:
-        return "exact", None
-    s2 = np.maximum(w[::-1], 0.0)
-    ub = qb[:, ::-1]
-    tail2 = np.append(np.cumsum(s2[::-1])[::-1], 0.0)
-    err = np.sqrt(proj2 + tail2)
-    admissible = np.nonzero(err <= tol)[0]
+    resid = blk - qp @ bp
+    proj2 = float(np.sum(resid * resid))
+    ub, s, vt = np.linalg.svd(bp, full_matrices=False)
+    tail2 = np.append(np.cumsum(s[::-1] ** 2)[::-1], 0.0)
+    admissible = np.nonzero(np.sqrt(proj2 + tail2) <= tol)[0]
     if admissible.size:
         r = int(admissible[0])
         if r > cap:
             return "exact", None
         if r < k or k == mn:
-            s = np.sqrt(s2[:r])
-            safe = np.maximum(s, np.finfo(np.float64).tiny)
-            u = qp @ (ub[:, :r] * s)
-            v = (bp.T @ ub[:, :r]) / safe
-            return "ok", (r, u, v)
+            return "ok", (r, qp @ (ub[:, :r] * s[:r]), vt[:r].T)
     return ("retry", None) if k < mn else ("exact", None)
 
 
@@ -263,8 +233,6 @@ def compress_many(
     *,
     max_rank: int | None = None,
     hints: "dict[tuple[int, int], int] | None" = None,
-    sketch: bool = False,
-    seed_for=None,
 ) -> "dict[tuple[int, int], tuple[int, np.ndarray | None, np.ndarray | None]]":
     """Batched :func:`compress_or_rank` over many assembly tiles.
 
@@ -274,10 +242,10 @@ def compress_many(
     Every stacked slice runs the same LAPACK routine on the same
     operand as the per-tile path, Frobenius norms are taken over the
     original blocks, and each tile's sketch rng is seeded from its own
-    key by ``seed_for`` (draws are data-independent, so the test
+    key (draws are data-independent, so the test
     matrices are memoized across calls), so results are bit-identical
-    to calling
-    :func:`compress_or_rank` tile by tile (pinned in tests).  Tiles
+    to calling :func:`compress_or_rank` tile by tile with the same
+    keys (pinned in tests).  Tiles
     whose sketch cannot certify a rank within the first round run the
     growth retry per tile from their *retained* rng (the stream is
     already positioned after the round-1 draw) and, failing that, join
@@ -300,7 +268,7 @@ def compress_many(
         hint = None if hints is None else hints.get(key)
         if hint is not None and hint > _cap(shape):
             values_only.setdefault(shape, []).append(key)
-        elif sketch and hint is not None and seed_for is not None:
+        elif hint is not None:
             k = min(max(hint, 1) + _SKETCH_OVERSAMPLE, min(shape))
             sketched.setdefault((shape, k), []).append(key)
         else:
@@ -324,8 +292,8 @@ def compress_many(
 
     # Certified randomized range-finder, round 1 stacked: draw each
     # tile's test matrix from its own rng, then one batched GEMM + QR +
-    # projection for the whole width class.  The small ``syev`` and the
-    # truncation bookkeeping stay per tile (k x k work).
+    # projection for the whole width class.  The small certifying SVD
+    # and the truncation bookkeeping stay per tile (k x n work).
     for (shape, k), group in sketched.items():
         m, n = shape
         mn = min(m, n)
@@ -335,7 +303,7 @@ def compress_many(
         )
         omegas = np.empty((len(group), n, k))
         for p, key in enumerate(group):
-            omegas[p] = _tile_omega(seed_for(key), n, k)
+            omegas[p] = _tile_omega(_tile_seed(key), n, k)
         qstack = np.linalg.qr(np.matmul(astack, omegas))[0]
         grow: list[tuple[tuple[int, int], np.ndarray]] = []
         for p, key in enumerate(group):
@@ -359,7 +327,7 @@ def compress_many(
         # bit-identical without replaying round 1.
         k2 = min(2 * k, mn)
         for key, blk in grow:
-            q, _ = _thin_qr_fast(blk @ _tile_omega2(seed_for(key), n, k, k2))
+            q, _ = _thin_qr_fast(blk @ _tile_omega2(_tile_seed(key), n, k, k2))
             status, res = _certify_sketch(q, blk, tol, cap, k2, mn)
             if status == "ok":
                 out[key] = res
@@ -410,46 +378,17 @@ def compress_tile(
 
 
 # ----------------------------------------------------------------------
-# Fast low-rank arithmetic (opt-in): raw LAPACK without wrapper overhead.
+# Raw LAPACK for the sketch: no ``numpy.linalg`` wrapper overhead.
 # ----------------------------------------------------------------------
-
-_fast_lr = False
 
 _probe = np.empty(0, dtype=np.float64)
 _geqrf, _orgqr = get_lapack_funcs(("geqrf", "orgqr"), (_probe,))
-(_gesdd,) = get_lapack_funcs(("gesdd",), (_probe,))
-(_syev,) = get_lapack_funcs(("syev",), (_probe,))
-
-
-@contextmanager
-def use_fast_lr(enabled: bool = True):
-    """Scope within which :func:`recompress`/:func:`lr_add` take the raw
-    LAPACK fast path.
-
-    The switch is process-global and meant to bracket one whole
-    factorization: set it *before* launching worker threads and restore
-    it after they join (reader threads are fine; toggling concurrently
-    with a running factorization is not supported).  Results differ
-    from the default path only by floating-point rounding.
-    """
-    global _fast_lr
-    previous = _fast_lr
-    _fast_lr = bool(enabled)
-    try:
-        yield
-    finally:
-        _fast_lr = previous
-
-
-def fast_lr_enabled() -> bool:
-    """Whether the current scope runs the raw-LAPACK LR path."""
-    return _fast_lr
 
 
 def _thin_qr_fast(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Economy QR of an ``(m, k)`` array with ``k <= m`` via
-    ``geqrf``/``orgqr``; raises ``LinAlgError``-free, returns ``(q, r)``
-    or ``None``-signalled failure through info checks by the caller."""
+    ``geqrf``/``orgqr``; returns ``(q, r)`` and raises
+    :class:`~repro.exceptions.CompressionError` on a LAPACK failure."""
     k = a.shape[1]
     qr_, tau, _, info = _geqrf(a)
     if info != 0:
@@ -459,102 +398,3 @@ def _thin_qr_fast(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if info != 0:
         raise CompressionError(f"orgqr failed with info={info}")
     return q, r
-
-
-def _core_svd_fast(
-    core: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD of the small ``k x k`` core via a symmetric eigensolve of its
-    Gram matrix (``syev`` beats ``gesdd`` by ~2x at these sizes).
-
-    Squaring halves the relative accuracy of singular values near
-    ``sqrt(eps) * s_max`` — harmless here because those values sit at or
-    below the truncation threshold; the split into kept/dropped can
-    shift by one index at the tolerance boundary, never the error bound.
-    """
-    w, q, info = _syev(core @ core.T)
-    if info != 0:
-        raise CompressionError(f"syev failed with info={info}")
-    s = np.sqrt(np.maximum(w[::-1], 0.0))
-    cu = q[:, ::-1]
-    # Right singular vectors of the kept part: V^T = S^{-1} U^T core,
-    # computed lazily by the caller for the kept rank only.
-    return cu, s, core
-
-
-def _recompress_fast(
-    u: np.ndarray, v: np.ndarray, tol: float, max_rank: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw-LAPACK recompression; same contract as :func:`recompress`."""
-    qu, ru = _thin_qr_fast(u)
-    qv, rv = _thin_qr_fast(v)
-    core = ru @ rv.T
-    cu, s, _ = _core_svd_fast(core)
-    rank, _ = frobenius_rank(s, tol)
-    if max_rank is not None and rank > max_rank:
-        raise CompressionError(
-            f"recompression to tolerance {tol:g} needs rank {rank} > {max_rank}"
-        )
-    if rank == 0:
-        return np.zeros((u.shape[0], 0)), np.zeros((v.shape[0], 0))
-    kept = cu[:, :rank]
-    # V^T rows for the kept columns only: S^{-1} U^T core.
-    safe = np.maximum(s[:rank], np.finfo(np.float64).tiny)
-    vt = (kept.T @ core) / safe[:, None]
-    new_u = qu @ (kept * s[:rank])
-    new_v = qv @ vt.T
-    return new_u, new_v
-
-
-def recompress(
-    u: np.ndarray, v: np.ndarray, tol: float, max_rank: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Re-truncate an existing factorization ``u @ v.T`` to ``tol``.
-
-    Uses thin QR of each factor followed by an SVD of the small
-    ``k x k`` core, so the cost is ``O((m + n) k^2 + k^3)`` rather than
-    a full-tile SVD.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    k = u.shape[1]
-    if k == 0:
-        return u, v
-    if _fast_lr and k <= u.shape[0] and k <= v.shape[0]:
-        return _recompress_fast(u, v, tol, max_rank)
-    qu, ru = np.linalg.qr(u)
-    qv, rv = np.linalg.qr(v)
-    core = ru @ rv.T
-    cu, s, cvt = np.linalg.svd(core)
-    rank, _ = frobenius_rank(s, tol)
-    if max_rank is not None and rank > max_rank:
-        raise CompressionError(
-            f"recompression to tolerance {tol:g} needs rank {rank} > {max_rank}"
-        )
-    new_u = qu @ (cu[:, :rank] * s[:rank])
-    new_v = qv @ cvt[:rank, :].T
-    return new_u, new_v
-
-
-def lr_add(
-    u1: np.ndarray,
-    v1: np.ndarray,
-    u2: np.ndarray,
-    v2: np.ndarray,
-    tol: float,
-    max_rank: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of two low-rank representations, recompressed to ``tol``.
-
-    ``u1 @ v1.T + u2 @ v2.T`` is represented exactly by the stacked
-    factors ``[u1 u2] @ [v1 v2].T`` (rank ``k1 + k2``), then truncated.
-    """
-    u = np.concatenate(
-        [np.asarray(u1, dtype=np.float64), np.asarray(u2, dtype=np.float64)],
-        axis=1,
-    )
-    v = np.concatenate(
-        [np.asarray(v1, dtype=np.float64), np.asarray(v2, dtype=np.float64)],
-        axis=1,
-    )
-    return recompress(u, v, tol, max_rank)

@@ -9,8 +9,8 @@ operands on the fly — exactly what PaRSEC does with its on-demand data
 conversions.  FP16-lead kernels accumulate in FP32 (emulated SHGEMM)
 unless the caller asks for pure HGEMM.
 
-Low-rank arithmetic (factor updates, recompression) always runs in
-float64; its *storage* honors the tile's precision.  That mirrors the
+Low-rank arithmetic (factor updates) always runs in float64; its
+*storage* honors the tile's precision.  That mirrors the
 implementation reality that compression kernels are FP64/FP32 only
 (Algorithm 2).
 """
@@ -20,8 +20,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg as sla
 
-from ..exceptions import CompressionError, NotPositiveDefiniteError, ShapeError
-from .compression import fast_lr_enabled, lr_add, truncated_svd
+from ..exceptions import NotPositiveDefiniteError, ShapeError
 from .precision import compute_dtype
 from .tile import DenseTile, LowRankTile, Tile
 
@@ -185,26 +184,24 @@ def gemm(
     b: Tile,
     c: Tile,
     *,
-    tol: float = 0.0,
-    max_rank: int | None = None,
     fp16_accumulate_fp32: bool = True,
-    allow_densify: bool = True,
 ) -> Tile:
     """Schur-complement update ``C <- C - A @ B^T``.
 
-    Handles every structure combination.  A low-rank ``C`` is updated
-    by low-rank addition + recompression at the absolute tolerance
-    ``tol`` (the tile-level TLR threshold); if recompression would
-    exceed ``max_rank`` and ``allow_densify`` is set, the tile falls
-    back to dense — the runtime analogue of the structure-aware
-    "convert back to dense" decision.
+    Handles every structure combination.  A low-rank ``C`` takes the
+    update *exactly*: the update's factors are stacked onto ``C``'s
+    (``[U, -dU] [V, dV]^T``), with no truncation inside the update
+    chain.  Once the stacked width would reach the tile size the exact
+    dense form is strictly cheaper than any further factor arithmetic,
+    so the tile converts to dense and stays dense — the runtime form of
+    Algorithm 2's "convert back to dense when TLR would be slower"
+    rule.  One matmul per tile lifetime replaces one QR+SVD
+    recompression per update.
     """
-    both_dense = not (a.is_low_rank or b.is_low_rank)
-
     if not c.is_low_rank:
         dtype = compute_dtype(c.precision, fp16_accumulate_fp32=fp16_accumulate_fp32)
         cdat = _as_compute(c.to_dense64(), dtype)
-        if both_dense:
+        if not (a.is_low_rank or b.is_low_rank):
             update = _matmul_emulated(a.to_dense64(), b.to_dense64().T, dtype)
         else:
             du, dv = _lr_update_factors(a, b)
@@ -212,46 +209,14 @@ def gemm(
         out = cdat - update
         return DenseTile(np.asarray(out, dtype=np.float64), c.precision)
 
-    # Low-rank C.
     assert isinstance(c, LowRankTile)
-    if fast_lr_enabled() and allow_densify:
-        # Fast path: no recompression inside the update chain at all.
-        # Stacked factors represent the accumulated update *exactly*;
-        # once the stacked width reaches the tile size the exact dense
-        # form is strictly cheaper than any further factor arithmetic,
-        # so the tile converts and stays dense.  This replaces one
-        # QR+SVD per GEMM (the dominant TLR factorization cost at small
-        # tile sizes) with a single matmul per tile lifetime.
-        if both_dense:
-            out = c.to_dense64() - a.to_dense64() @ b.to_dense64().T
-            return DenseTile(out, c.precision)
-        du, dv = _lr_update_factors(a, b)
-        cu = c.u.astype(np.float64)
-        cv = c.v.astype(np.float64)
-        if cu.shape[1] + du.shape[1] < min(c.shape):
-            return LowRankTile(
-                np.hstack([cu, -du]), np.hstack([cv, dv]), c.precision
-            )
-        out = cu @ cv.T - du @ dv.T
+    if not (a.is_low_rank or b.is_low_rank):
+        out = c.to_dense64() - a.to_dense64() @ b.to_dense64().T
         return DenseTile(out, c.precision)
-    if both_dense:
-        dense_update = a.to_dense64() @ b.to_dense64().T
-        try:
-            du, dv, _ = truncated_svd(dense_update, tol, max_rank)
-        except CompressionError:
-            if not allow_densify:
-                raise
-            out = c.to_dense64() - dense_update
-            return DenseTile(out, c.precision)
-    else:
-        du, dv = _lr_update_factors(a, b)
+    du, dv = _lr_update_factors(a, b)
     cu = c.u.astype(np.float64)
     cv = c.v.astype(np.float64)
-    try:
-        nu, nv = lr_add(cu, cv, -du, dv, tol, max_rank)
-    except CompressionError:
-        if not allow_densify:
-            raise
-        out = c.to_dense64() - du @ dv.T
-        return DenseTile(out, c.precision)
-    return LowRankTile(nu, nv, c.precision)
+    if cu.shape[1] + du.shape[1] < min(c.shape):
+        return LowRankTile(np.hstack([cu, -du]), np.hstack([cv, dv]), c.precision)
+    out = cu @ cv.T - du @ dv.T
+    return DenseTile(out, c.precision)

@@ -163,7 +163,6 @@ def factor_with_recovery(
     rebuild: Callable[..., tuple[TileMatrix, "object"]],
     *,
     policy: RecoveryPolicy,
-    max_rank: int | None = None,
     fp16_accumulate_fp32: bool = True,
     factor_fn: "Callable[..., tuple[TileMatrix, CholeskyStats]] | None" = None,
 ) -> tuple[TileMatrix, CholeskyStats, "object", RecoveryReport]:
@@ -171,12 +170,12 @@ def factor_with_recovery(
 
     ``rebuild(min_precisions=..., force_dense=..., extra_nugget=...)``
     must construct a fresh planned covariance and return
-    ``(matrix, report)`` where ``report.tile_tol`` is the recompression
-    tolerance (an :class:`~repro.tile.assembly.AssemblyReport` fits).
+    ``(matrix, report)`` (an :class:`~repro.tile.assembly.AssemblyReport`
+    fits).
     It is called once per attempt — the factorization is destructive
     and tiles store rounded data, so nothing can be reused.
 
-    ``factor_fn(matrix, tile_tol=...)`` overrides how each attempt is
+    ``factor_fn(matrix)`` overrides how each attempt is
     factored (e.g. the threaded DAG executor); it must return
     ``(factor, stats)`` and raise
     :class:`~repro.exceptions.NotPositiveDefiniteError` on breakdown.
@@ -189,12 +188,9 @@ def factor_with_recovery(
     """
     if factor_fn is None:
 
-        def factor_fn(matrix: TileMatrix, *, tile_tol: float):
+        def factor_fn(matrix: TileMatrix):
             return tile_cholesky(
-                matrix,
-                tile_tol=tile_tol,
-                max_rank=max_rank,
-                fp16_accumulate_fp32=fp16_accumulate_fp32,
+                matrix, fp16_accumulate_fp32=fp16_accumulate_fp32
             )
 
     report = RecoveryReport()
@@ -202,7 +198,7 @@ def factor_with_recovery(
     matrix, build_report = rebuild(**overrides)
     scale = _diag_scale(matrix)
     try:
-        factor, stats = factor_fn(matrix, tile_tol=build_report.tile_tol)
+        factor, stats = factor_fn(matrix)
         return factor, stats, build_report, report
     except NotPositiveDefiniteError as exc:
         failure = exc
@@ -244,7 +240,7 @@ def factor_with_recovery(
         matrix, build_report = rebuild(**overrides)
         report.attempts += 1
         try:
-            factor, stats = factor_fn(matrix, tile_tol=build_report.tile_tol)
+            factor, stats = factor_fn(matrix)
         except NotPositiveDefiniteError as exc:
             failure = exc
             report.actions.append(

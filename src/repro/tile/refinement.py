@@ -51,9 +51,12 @@ def refine_solve(
     """Solve ``A x = b`` with the (approximate) factor plus iterative
     refinement against the exact tiled operator ``a_exact``.
 
-    ``tol`` is on the relative residual ``||b - A x|| / ||b||``.
-    Diverging iterations (residual growth) stop early with
-    ``converged = False``.
+    ``tol`` is on the relative residual ``||b - A x|| / ||b||``.  At
+    most ``max_iter`` corrections are applied, and the residual of every
+    returned iterate is evaluated; ``iterations`` counts the corrections
+    in the returned ``x``.  Diverging iterations (residual growth) stop
+    early with ``converged = False``, returning the best iterate and its
+    residual.
     """
     rhs = np.asarray(b, dtype=np.float64)
     if rhs.shape[0] != a_exact.n or factor.n != a_exact.n:
@@ -68,17 +71,21 @@ def refine_solve(
     x = backward_solve(factor, forward_solve(factor, rhs))
     result = RefinementResult(x=x)
     prev = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(max_iter + 1):
         residual = rhs - symmetric_matvec(a_exact, x)
         rel = float(np.linalg.norm(residual)) / b_norm
+        if rel >= prev:
+            # Stagnation/divergence: keep the previous (best) iterate,
+            # so ``x`` and ``final_residual`` describe the same vector.
+            break
+        result.x = x
         result.residual_norms.append(rel)
         result.iterations = it
         if rel <= tol:
             result.converged = True
             break
-        if rel >= prev:  # stagnation/divergence guard
+        if it == max_iter:
             break
         prev = rel
         x = x + backward_solve(factor, forward_solve(factor, residual))
-        result.x = x
     return result

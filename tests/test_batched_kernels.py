@@ -196,8 +196,8 @@ class TestBatchedDispatcher:
         mat, rep = build_planned_covariance(
             matern, theta_matern, x, 24, nugget=1e-8, **cfg.assembly_kwargs()
         )
-        ref, _ = tile_cholesky(mat.copy(), tile_tol=rep.tile_tol)
-        got, _ = execute_cholesky_batched(mat.copy(), tile_tol=rep.tile_tol)
+        ref, _ = tile_cholesky(mat.copy())
+        got, _ = execute_cholesky_batched(mat.copy())
         np.testing.assert_array_equal(
             ref.to_dense(lower_only=True), got.to_dense(lower_only=True)
         )

@@ -110,6 +110,12 @@ class TestExaGeoStatModel:
         with pytest.raises(ShapeError):
             ExaGeoStatModel(kernel="rbf-magic")
 
+    def test_exponential_alias(self):
+        from repro.kernels import ExponentialKernel
+
+        model = ExaGeoStatModel(kernel="exponential")
+        assert isinstance(model.kernel, ExponentialKernel)
+
     def test_ordering_is_internal(self):
         """Shuffled input produces the same predictions (the model
         reorders internally)."""

@@ -10,7 +10,6 @@ Covers the equivalence contracts of the evaluation engine:
   explicit-geometry validation);
 * parallel factorization matches sequential per variant (bit-identical
   for dense FP64, value-identical for the mixed-precision variants);
-* ``fast_lr`` matches the default low-rank arithmetic to rounding;
 * replicated likelihoods route through the recovery ladder.
 """
 
@@ -241,22 +240,46 @@ def test_workers_threads_through_variant_config(xz):
 
 
 # ----------------------------------------------------------------------
-# fast_lr and recovery routing
+# no process-global numerics
 # ----------------------------------------------------------------------
 
-def test_fast_lr_matches_default_to_rounding(xz):
-    kern, theta, x, z = xz
-    base = loglikelihood(
-        kern, theta, x, z, tile_size=TILE, variant="mp-dense-tlr",
-        nugget=1e-8,
-    )
-    fast = loglikelihood(
-        kern, theta, x, z, tile_size=TILE, variant="mp-dense-tlr",
-        nugget=1e-8, fast_lr=True,
-    )
-    np.testing.assert_allclose(fast.value, base.value, rtol=1e-6)
-    np.testing.assert_allclose(fast.logdet, base.logdet, rtol=1e-6)
+def test_concurrent_engines_match_solo_runs(xz):
+    """An mp-dense-tlr and a dense-fp64 engine evaluating at the same
+    time in two threads each reproduce their solo values bit for bit:
+    no process-global state decides the arithmetic."""
+    import threading
 
+    kern, theta, x, z = xz
+    thetas = [theta * s for s in (1.0, 1.05, 0.95, 1.1)]
+
+    def trace(variant, barrier=None):
+        engine = EvaluationEngine(
+            kern, x, z, tile_size=TILE, variant=variant, nugget=1e-8
+        )
+        if barrier is not None:
+            barrier.wait()
+        return [engine.evaluate(t).value for t in thetas]
+
+    solo = {v: trace(v) for v in ("mp-dense-tlr", "dense-fp64")}
+    barrier = threading.Barrier(2)
+    together: dict = {}
+
+    def run(variant):
+        together[variant] = trace(variant, barrier)
+
+    threads = [
+        threading.Thread(target=run, args=(v,)) for v in solo
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert together == solo
+
+
+# ----------------------------------------------------------------------
+# recovery routing
+# ----------------------------------------------------------------------
 
 def test_replicated_routes_through_recovery(xz):
     kern, theta, x, _ = xz

@@ -141,7 +141,7 @@ class TestRefinement:
             kern, theta, x, 40, nugget=1e-8, use_mp=True, use_tlr=True,
             band_size=2, tlr_tol=1e-4, mp_accuracy=1e-4,
         )
-        factor, _ = tile_cholesky(approx, tile_tol=rep.tile_tol)
+        factor, _ = tile_cholesky(approx)
         return exact, factor, gen.standard_normal(240)
 
     def test_improves_residual(self, problem):
@@ -172,6 +172,20 @@ class TestRefinement:
         res = refine_solve(exact, factor, b, tol=0.0, max_iter=6)
         rs = res.residual_norms
         assert all(b <= a * 1.001 for a, b in zip(rs, rs[1:]))
+
+    def test_single_correction_is_applied_and_scored(self, problem):
+        """max_iter=1 returns the once-corrected solve, not the plain
+        one, and its residual is the one reported."""
+        exact, factor, b = problem
+        plain = refine_solve(exact, factor, b, tol=0.0, max_iter=0)
+        once = refine_solve(exact, factor, b, tol=0.0, max_iter=1)
+        assert plain.iterations == 0 and once.iterations == 1
+        assert once.final_residual < plain.final_residual
+        r = b - exact.to_dense() @ once.x
+        assert np.isclose(
+            np.linalg.norm(r) / np.linalg.norm(b), once.final_residual,
+            rtol=1e-6,
+        )
 
 
 class TestReplicatedLikelihood:

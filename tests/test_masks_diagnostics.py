@@ -111,7 +111,7 @@ class TestDiagnostics:
             mat, rep = build_planned_covariance(
                 matern, theta, locations_200, 40, nugget=1e-8
             )
-            fac, _ = tile_cholesky(mat.copy(), tile_tol=rep.tile_tol)
+            fac, _ = tile_cholesky(mat.copy())
             conds[label] = condition_estimate(mat, fac, iterations=40)
         assert conds["strong"] > conds["weak"]
 

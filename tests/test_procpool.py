@@ -114,9 +114,9 @@ class TestBitIdentity:
         """Every shipped variant factors bit-identically to the
         sequential engine on the process backend."""
         mat, rep = golden_problem(variant, nt)
-        ref, _ = tile_cholesky(mat.copy(), tile_tol=rep.tile_tol)
+        ref, _ = tile_cholesky(mat.copy())
         with ProcessPoolEngine(workers=3) as engine:
-            par, report = engine.execute(mat.copy(), tile_tol=rep.tile_tol)
+            par, report = engine.execute(mat.copy())
         np.testing.assert_array_equal(
             ref.to_dense(lower_only=True), par.to_dense(lower_only=True)
         )
@@ -138,11 +138,11 @@ class TestBitIdentity:
         """batch=True (stacked BLAS inside each worker dispatch) keeps
         bit-identity and reuses one persistent pool across calls."""
         mat, rep = golden_problem("mp-dense-tlr", 8)
-        ref, _ = tile_cholesky(mat.copy(), tile_tol=rep.tile_tol)
+        ref, _ = tile_cholesky(mat.copy())
         with ProcessPoolEngine(workers=2) as engine:
             for _ in range(2):  # second call reuses the live workers
                 par, _ = engine.execute(
-                    mat.copy(), tile_tol=rep.tile_tol, batch=True
+                    mat.copy(), batch=True
                 )
                 np.testing.assert_array_equal(
                     ref.to_dense(lower_only=True),

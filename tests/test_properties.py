@@ -52,7 +52,7 @@ class TestFactorizationProperties:
             band_size=2 if cfg["use_tlr"] else 1,
         )
         sigma = KERNEL.covariance_matrix(theta, x, nugget=1e-8)
-        fac, _ = tile_cholesky(mat, tile_tol=rep.tile_tol)
+        fac, _ = tile_cholesky(mat)
         low = fac.to_dense(lower_only=True)
         rel = np.linalg.norm(low @ low.T - sigma) / np.linalg.norm(sigma)
         budget = 1e-12 if not (cfg["use_mp"] or cfg["use_tlr"]) else 1e-4
@@ -68,7 +68,7 @@ class TestFactorizationProperties:
             band_size=2 if cfg["use_tlr"] else 1,
         )
         sigma = KERNEL.covariance_matrix(theta, x, nugget=1e-8)
-        fac, _ = tile_cholesky(mat, tile_tol=rep.tile_tol)
+        fac, _ = tile_cholesky(mat)
         gen = np.random.default_rng(cfg["seed"] + 1)
         b = gen.standard_normal(cfg["n"])
         sol = backward_solve(fac, forward_solve(fac, b))
@@ -85,7 +85,7 @@ class TestFactorizationProperties:
             band_size=2 if cfg["use_tlr"] else 1,
         )
         sigma = KERNEL.covariance_matrix(theta, x, nugget=1e-8)
-        fac, _ = tile_cholesky(mat, tile_tol=rep.tile_tol)
+        fac, _ = tile_cholesky(mat)
         _, ref = np.linalg.slogdet(sigma)
         assert tile_logdet(fac) == pytest.approx(ref, abs=0.5)
 

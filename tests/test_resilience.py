@@ -691,7 +691,7 @@ PINNED_LOGLIK_TLR = -125.0185750632407
 PINNED_LOGLIK_DENSE = -125.01857507037556
 PINNED_FIT_THETA = (0.9698549256785878, 0.17606490896788304,
                     0.4232580533692424)
-PINNED_FIT_LOGLIK = -121.32082013758716
+PINNED_FIT_LOGLIK = -121.32082013754462
 PINNED_FIT_NFEV = 22
 PINNED_MEAN_SUM = -12.108876465532902
 PINNED_VARIANCE_SUM = 11.35360336170925

@@ -39,8 +39,8 @@ class TestEngine:
         a = mat.copy()
         b = mat.copy()
         tasks = list(cholesky_tasks(a.nt))
-        l1, _ = tile_cholesky(a, tile_tol=report.tile_tol)
-        l2, trace = execute_cholesky_tasks(b, tasks, tile_tol=report.tile_tol)
+        l1, _ = tile_cholesky(a)
+        l2, trace = execute_cholesky_tasks(b, tasks)
         np.testing.assert_array_equal(
             l1.to_dense(lower_only=True), l2.to_dense(lower_only=True)
         )
@@ -50,7 +50,7 @@ class TestEngine:
         mat, report = planned_problem
         tasks = list(cholesky_tasks(mat.nt))
         _, trace = execute_cholesky_tasks(
-            mat.copy(), tasks, tile_tol=report.tile_tol
+            mat.copy(), tasks
         )
         assert trace.total_flops > 0
         assert trace.makespan > 0

@@ -40,9 +40,9 @@ class TestParallelEngine:
 
     def test_matches_sequential_adaptive(self, planned):
         mat, rep = planned
-        ref, _ = tile_cholesky(mat.copy(), tile_tol=rep.tile_tol)
+        ref, _ = tile_cholesky(mat.copy())
         par, _ = execute_cholesky_parallel(
-            mat.copy(), workers=3, tile_tol=rep.tile_tol
+            mat.copy(), workers=3
         )
         np.testing.assert_allclose(
             ref.to_dense(lower_only=True), par.to_dense(lower_only=True),

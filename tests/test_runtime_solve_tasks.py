@@ -28,7 +28,7 @@ def factored():
         MaternKernel(), np.array([1.0, 0.1, 0.5]), x, 40, nugget=1e-8,
         use_tlr=True, band_size=2,
     )
-    fac, _ = tile_cholesky(mat, tile_tol=rep.tile_tol)
+    fac, _ = tile_cholesky(mat)
     return fac, rep
 
 

@@ -84,7 +84,7 @@ def tlr_factor(matern, theta_matern, locations_200):
         matern, theta_matern, locations_200, 40, nugget=1e-8,
         use_tlr=True, band_size=1,
     )
-    fac, _ = tile_cholesky(mat, tile_tol=report.tile_tol)
+    fac, _ = tile_cholesky(mat)
     assert any(k.startswith("lr/") for k in fac.structure_counts())
     return fac
 
@@ -140,7 +140,7 @@ class TestPanelSolver:
             matern, theta_matern, locations_200, 40,
             nugget=1e-8, **cfg.assembly_kwargs(),
         )
-        fac, _ = tile_cholesky(mat, tile_tol=report.tile_tol)
+        fac, _ = tile_cholesky(mat)
         sigma = matern.covariance_matrix(theta_matern, locations_200, nugget=1e-8)
         b = rng.standard_normal((200, 4))
         x = PanelSolver(fac).solve(b)
@@ -184,7 +184,7 @@ def serving_setup(matern, theta_matern, locations_200, spd_dense_200):
         matern, theta_matern, locations_200, 40,
         nugget=1e-8, **cfg.assembly_kwargs(),
     )
-    fac, _ = tile_cholesky(mat, tile_tol=report.tile_tol)
+    fac, _ = tile_cholesky(mat)
     gen = np.random.default_rng(100)
     x_test = gen.uniform(size=(57, 2))
     return matern, theta_matern, locations_200, z, fac, x_test
@@ -354,3 +354,66 @@ class TestModelServingWiring:
 
         report = check_golden_serving()
         assert report.ok, report.render_text()
+
+
+class TestServedFactor:
+    """The served mp-dense-tlr factor keeps its planned low-rank tiles
+    in rank form (truncated once after the factorization) and kriges
+    like dense SciPy."""
+
+    THETA = np.array([1.0, 0.1])
+    TILE = 40
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        from scipy.spatial.distance import cdist
+
+        from repro import ExaGeoStatModel
+        from repro.core.likelihood import loglikelihood
+
+        gen = np.random.default_rng(21)
+        x = gen.random((480, 2))
+        cov = self.THETA[0] * np.exp(-cdist(x, x) / self.THETA[1])
+        z = np.linalg.cholesky(cov) @ gen.standard_normal(len(x))
+        model = ExaGeoStatModel(
+            "exponential", "mp-dense-tlr", tile_size=self.TILE
+        )
+        model.set_params(self.THETA, x, z)
+        plan = loglikelihood(
+            model.kernel, self.THETA, model._x, model._z,
+            tile_size=self.TILE, variant=model.variant,
+        ).report.plan
+        return model, plan
+
+    def test_planned_lr_tiles_served_in_rank_form(self, served):
+        from repro.tile import LowRankTile
+
+        model, plan = served
+        factor = model.serving_engine().factor
+        max_rank = int(model.variant.max_rank_fraction * self.TILE)
+        planned = [key for key, lr in plan.use_lr.items() if lr]
+        assert planned
+        for key in planned:
+            tile = factor.get(*key)
+            assert isinstance(tile, LowRankTile), key
+            assert tile.rank <= max_rank, key
+        offband = [key for key in plan.use_lr if key[0] != key[1]]
+        dense = [k for k in offband if not factor.get(*k).is_low_rank]
+        assert len(dense) <= len(offband) - len(planned)
+
+    def test_kriging_matches_dense_scipy(self, served):
+        from scipy.spatial.distance import cdist
+
+        model, _ = served
+        x, z = model._x, model._z
+        x_new = np.random.default_rng(22).random((60, 2))
+        pred = model.predict(x_new, return_uncertainty=True)
+        sigma2 = self.THETA[0]
+        cov = sigma2 * np.exp(-cdist(x, x) / self.THETA[1])
+        cross = sigma2 * np.exp(-cdist(x, x_new) / self.THETA[1])
+        low = sla.cholesky(cov, lower=True, check_finite=False)
+        half = sla.solve_triangular(low, cross, lower=True, check_finite=False)
+        mean = cross.T @ sla.cho_solve((low, True), z, check_finite=False)
+        var = sigma2 - np.einsum("ij,ij->j", half, half)
+        assert np.max(np.abs(pred.mean - mean)) <= 1e-5 * np.sqrt(sigma2)
+        assert np.max(np.abs(pred.variance - var)) <= 1e-6 * sigma2

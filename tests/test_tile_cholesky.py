@@ -71,7 +71,7 @@ class TestApproximateVariants:
         mat, report = build_planned_covariance(
             kern, theta, x, 50, nugget=1e-8, **kwargs
         )
-        fac, stats = tile_cholesky(mat, tile_tol=report.tile_tol)
+        fac, stats = tile_cholesky(mat)
         return fac, stats, sigma, ref
 
     def test_mp_dense_close_to_fp64(self, problem):
@@ -110,7 +110,7 @@ class TestApproximateVariants:
                 kern, theta, x, 50, nugget=1e-8,
                 use_tlr=True, tlr_tol=tol, band_size=1,
             )
-            fac, _ = tile_cholesky(mat, tile_tol=report.tile_tol)
+            fac, _ = tile_cholesky(mat)
             low = fac.to_dense(lower_only=True)
             errs.append(np.linalg.norm(low @ low.T - sigma))
         assert errs[1] < errs[0]

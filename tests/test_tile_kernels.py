@@ -152,7 +152,7 @@ class TestGemmLowRankOutput:
         tb, b = lr_tile(rng, 8, 8, 2)
         tc, c = lr_tile(rng, 8, 8, 3)
         tol = 1e-10 * np.linalg.norm(c - a @ b.T)
-        out = K.gemm(ta, tb, tc, tol=tol, max_rank=8)
+        out = K.gemm(ta, tb, tc)
         assert out.is_low_rank
         np.testing.assert_allclose(
             out.to_dense64(), c - a @ b.T,
@@ -164,16 +164,16 @@ class TestGemmLowRankOutput:
         b = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 8))
         tc, c = lr_tile(rng, 8, 8, 2)
         tol = 1e-9 * np.linalg.norm(c)
-        out = K.gemm(DenseTile(a), DenseTile(b), tc, tol=tol, max_rank=8)
+        out = K.gemm(DenseTile(a), DenseTile(b), tc)
         np.testing.assert_allclose(out.to_dense64(), c - a @ b.T, atol=1e-7)
 
     def test_rank_overflow_densifies(self, rng):
-        """When the update cannot be recompressed under max_rank the
-        tile converts to dense (the runtime's fallback)."""
+        """A dense update of a low-rank C converts the tile to dense
+        (Algorithm 2's convert-back rule at runtime)."""
         ta = DenseTile(rng.standard_normal((8, 8)))
         tb = DenseTile(rng.standard_normal((8, 8)))
         tc, c = lr_tile(rng, 8, 8, 1)
-        out = K.gemm(ta, tb, tc, tol=1e-14, max_rank=2, allow_densify=True)
+        out = K.gemm(ta, tb, tc)
         assert not out.is_low_rank
         np.testing.assert_allclose(
             out.to_dense64(),
@@ -181,14 +181,19 @@ class TestGemmLowRankOutput:
             atol=1e-10,
         )
 
-    def test_rank_overflow_raises_when_disallowed(self, rng):
-        from repro.exceptions import CompressionError
-
-        ta = DenseTile(rng.standard_normal((8, 8)))
-        tb = DenseTile(rng.standard_normal((8, 8)))
-        tc, _ = lr_tile(rng, 8, 8, 1)
-        with pytest.raises(CompressionError):
-            K.gemm(ta, tb, tc, tol=1e-14, max_rank=2, allow_densify=False)
+    def test_updates_stack_exactly_until_full_width(self, rng):
+        """Low-rank updates append factors untruncated while the width
+        stays below the tile size, then the tile converts to dense."""
+        tc, c = lr_tile(rng, 8, 8, 3)
+        widths = []
+        for _ in range(3):
+            ta, a = lr_tile(rng, 8, 8, 2)
+            tb, b = lr_tile(rng, 8, 8, 2)
+            tc, c = K.gemm(ta, tb, tc), c - a @ b.T
+            widths.append(tc.rank if tc.is_low_rank else "dense")
+            np.testing.assert_allclose(tc.to_dense64(), c, atol=1e-10)
+        # 3 + 2 + 2 = 7 < 8 stays factored; one more update reaches 9.
+        assert widths == [5, 7, "dense"]
 
 
 class TestPrecisionSemantics:
